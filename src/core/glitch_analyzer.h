@@ -155,9 +155,8 @@ class GlitchAnalyzer {
 
   /// Everything the SimulateReduced stage sets up before integrating: the
   /// configured simulator, its run options, and the measurement context.
-  /// Splitting setup from measurement lets the batch scheduler
-  /// (mor/batch_sim.h) integrate many victims' simulators in lockstep and
-  /// feed each lane's result back through the identical measurement code.
+  /// Splitting setup from measurement lets a caller time the two halves
+  /// and the integration between them separately.
   struct SimulateSetup {
     ReducedSimulator sim;
     ReducedSimOptions ropt;
@@ -189,8 +188,7 @@ class GlitchAnalyzer {
                                 const GlitchAnalysisOptions& options);
 
   /// First half of SimulateReduced: builds the configured simulator and
-  /// run options without integrating. The batch scheduler parks victims
-  /// here and integrates their simulators together.
+  /// run options without integrating.
   SimulateSetup prepare_simulate(const VictimSpec& victim,
                                  const std::vector<AggressorSpec>& aggressors,
                                  const PreparedCluster& prepared,
@@ -198,7 +196,7 @@ class GlitchAnalyzer {
                                  const GlitchAnalysisOptions& options);
 
   /// Second half of SimulateReduced: finiteness check, peak and EM
-  /// measurements on an integration result (scalar or batch lane).
+  /// measurements on an integration result.
   /// `cpu_seconds` is recorded verbatim in the result.
   GlitchResult measure_reduced(const SimulateSetup& setup,
                                const ReducedSimResult& res,

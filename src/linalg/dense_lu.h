@@ -8,6 +8,19 @@
 
 namespace xtv {
 
+/// Factors the row-major n x n matrix at `a` in place (PA = LU, unit-
+/// diagonal L below U), filling `perm` so that row i of PA is row perm[i]
+/// of A. Throws NumericalError(kSingularMatrix) when a pivot falls to
+/// `pivot_tol` or below. Returns the permutation sign. DenseLu runs on
+/// this; callers that own reusable storage (the reduced transient's
+/// per-iteration Woodbury solve) call it directly to skip the copy.
+int lu_factor_inplace(double* a, std::size_t n, std::vector<std::size_t>& perm,
+                      double pivot_tol = 1e-300);
+
+/// Solves A x = b from lu_factor_inplace's output; x is resized to n.
+void lu_solve_inplace(const double* lu, const std::vector<std::size_t>& perm,
+                      const Vector& b, Vector& x);
+
 /// PA = LU factorization with partial (row) pivoting. L has unit diagonal
 /// and is stored together with U in a single matrix.
 class DenseLu {

@@ -65,114 +65,130 @@ void ReducedSimulator::clear() {
   terminations_.clear();
 }
 
-Vector ReducedSimulator::input_currents(double t) const {
-  Vector u(port_count(), 0.0);
-  for (const auto& [port, wave] : inputs_) u[port] += wave.value(t);
-  return u;
+void ReducedSimulator::flatten() {
+  Work& w = work_;
+  w.inputs.clear();
+  for (const auto& [port, wave] : inputs_) w.inputs.emplace_back(port, &wave);
+  w.nl_ports.clear();
+  w.nl_devs.clear();
+  for (const auto& [port, dev] : terminations_) {
+    w.nl_ports.push_back(port);
+    w.nl_devs.push_back(dev.get());
+  }
+  const std::size_t q = order();
+  const std::size_t m = w.nl_ports.size();
+  w.u_cols.assign(q * m, 0.0);
+  for (std::size_t i = 0; i < q; ++i)
+    for (std::size_t k = 0; k < m; ++k)
+      w.u_cols[i * m + k] = eta_(i, w.nl_ports[k]);
+  w.alpha_valid = false;
+}
+
+void ReducedSimulator::refresh_alpha(double alpha) {
+  Work& w = work_;
+  if (w.alpha_valid && alpha == w.alpha) return;
+  const std::size_t q = order();
+  const std::size_t m = w.nl_ports.size();
+  w.dd_inv.assign(q, 0.0);
+  for (std::size_t i = 0; i < q; ++i) w.dd_inv[i] = 1.0 / (1.0 + alpha * d_[i]);
+  w.s_alpha.assign(m * m, 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < q; ++i)
+        acc += w.u_cols[i * m + a] * w.dd_inv[i] * w.u_cols[i * m + b];
+      w.s_alpha[a * m + b] = acc;
+    }
+  }
+  w.alpha = alpha;
+  w.alpha_valid = true;
 }
 
 bool ReducedSimulator::newton_solve(Vector& x, double t, double alpha,
-                                    const Vector& d_beta,
-                                    const ReducedSimOptions& options,
-                                    std::size_t& iterations) const {
+                                    const Vector& d_beta, int max_newton,
+                                    double v_abstol, std::size_t& iterations) {
+  Work& w = work_;
   const std::size_t q = order();
   const std::size_t p = port_count();
+  const std::size_t m = w.nl_ports.size();
 
-  // Diagonal part Dd = I + alpha * D. Scratch buffers are reused across
-  // calls (workspace doctrine: every extent is fully written before use).
-  Vector& dd_inv = scratch_.dd_inv;
-  dd_inv.assign(q, 0.0);
-  for (std::size_t i = 0; i < q; ++i) dd_inv[i] = 1.0 / (1.0 + alpha * d_[i]);
+  refresh_alpha(alpha);
+  const Vector& dd_inv = w.dd_inv;
 
-  // Nonlinear port list (fixed across iterations).
-  std::vector<std::size_t>& nl_ports = scratch_.nl_ports;
-  nl_ports.clear();
-  nl_ports.reserve(terminations_.size());
-  for (const auto& [port, dev] : terminations_) {
-    (void)dev;
-    nl_ports.push_back(port);
-  }
-  const std::size_t m = nl_ports.size();
-
-  const Vector u = input_currents(t);
+  // Known (linear) port current injections at t.
+  w.u.assign(p, 0.0);
+  for (const auto& [port, wave] : w.inputs) w.u[port] += wave->value(t);
 
   // Checked only on the converged path: a diverging iterate may overflow
   // transiently and still be rescued by a halved step, but a "converged"
   // solution with invalid/overflow evidence in the FP flags is poison.
   FpKernelGuard fp("reduced_newton");
-  for (int iter = 0; iter < options.max_newton; ++iter) {
+  for (int iter = 0; iter < max_newton; ++iter) {
     ++iterations;
     fp.rearm();
     // Port voltages and total currents at the trial point.
-    Vector& vports = scratch_.vports;
-    matvec_transposed_into(eta_, x, vports);
-    Vector& itotal = scratch_.itotal;
-    itotal = u;
-    Vector& g = scratch_.g;
-    g.assign(m, 0.0);
+    matvec_transposed_into(eta_, x, w.vports);
+    w.itotal = w.u;
+    w.g.assign(m, 0.0);
     for (std::size_t k = 0; k < m; ++k) {
-      const auto port = nl_ports[k];
-      const auto& dev = terminations_.at(port);
-      itotal[port] += dev->current(vports[port], t);
-      g[k] = dev->conductance(vports[port], t);
+      const std::size_t port = w.nl_ports[k];
+      const OnePortDevice* dev = w.nl_devs[k];
+      w.itotal[port] += dev->current(w.vports[port], t);
+      w.g[k] = dev->conductance(w.vports[port], t);
     }
 
-    // Residual F = (I + alpha D) x + D beta - eta * itotal.
-    Vector& eta_i = scratch_.eta_i;
-    matvec_into(eta_, itotal, eta_i);
-    Vector& r = scratch_.r;  // r = -F (the Newton RHS)
-    r.assign(q, 0.0);
+    // Residual F = (I + alpha D) x + D beta - eta * itotal; r = -F is the
+    // Newton RHS.
+    matvec_into(eta_, w.itotal, w.eta_i);
+    w.r.assign(q, 0.0);
     for (std::size_t i = 0; i < q; ++i)
-      r[i] = eta_i[i] - ((1.0 + alpha * d_[i]) * x[i] + d_beta[i]);
+      w.r[i] = w.eta_i[i] - ((1.0 + alpha * d_[i]) * x[i] + d_beta[i]);
 
     // Solve (Dd - U G U^T) dx = r with U = eta columns of the nonlinear
     // ports, via the m x m Woodbury system (I_m - S G) w = U^T Dd^{-1} r,
     // S = U^T Dd^{-1} U; then dx = Dd^{-1}(r + U G w).
-    Vector& dx = scratch_.dx;
-    dx.assign(q, 0.0);
+    w.dx.assign(q, 0.0);
     if (m == 0) {
-      for (std::size_t i = 0; i < q; ++i) dx[i] = dd_inv[i] * r[i];
+      for (std::size_t i = 0; i < q; ++i) w.dx[i] = dd_inv[i] * w.r[i];
     } else {
-      DenseMatrix s(m, m);
-      Vector& srhs = scratch_.srhs;
-      srhs.assign(m, 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
+      // Three m x m charges per iteration (S, the system matrix, and its
+      // LU), made without allocating, so a marginal memory budget
+      // breaches at this program point. S comes from the per-alpha cache.
+      const std::size_t mat_bytes = m * m * sizeof(double);
+      resource::MemCharge charge_s(mat_bytes);
+      w.srhs.assign(m, 0.0);
+      for (std::size_t a = 0; a < m; ++a)
         for (std::size_t i = 0; i < q; ++i)
-          srhs[a] += eta_(i, nl_ports[a]) * dd_inv[i] * r[i];
-        for (std::size_t b = 0; b < m; ++b) {
-          double acc = 0.0;
-          for (std::size_t i = 0; i < q; ++i)
-            acc += eta_(i, nl_ports[a]) * dd_inv[i] * eta_(i, nl_ports[b]);
-          s(a, b) = acc;
-        }
-      }
-      DenseMatrix msys(m, m);
+          w.srhs[a] += w.u_cols[i * m + a] * dd_inv[i] * w.r[i];
+      resource::MemCharge charge_msys(mat_bytes);
+      w.msys.assign(m * m, 0.0);
       for (std::size_t a = 0; a < m; ++a)
         for (std::size_t b = 0; b < m; ++b)
-          msys(a, b) = (a == b ? 1.0 : 0.0) - s(a, b) * g[b];
-      const Vector w = DenseLu(msys).solve(srhs);
-      Vector& rgw = scratch_.rgw;
-      rgw = r;
+          w.msys[a * m + b] =
+              (a == b ? 1.0 : 0.0) - w.s_alpha[a * m + b] * w.g[b];
+      resource::MemCharge charge_lu(mat_bytes);
+      lu_factor_inplace(w.msys.data(), m, w.perm);
+      lu_solve_inplace(w.msys.data(), w.perm, w.srhs, w.w);
+      w.rgw = w.r;
       for (std::size_t k = 0; k < m; ++k)
         for (std::size_t i = 0; i < q; ++i)
-          rgw[i] += eta_(i, nl_ports[k]) * g[k] * w[k];
-      for (std::size_t i = 0; i < q; ++i) dx[i] = dd_inv[i] * rgw[i];
+          w.rgw[i] += w.u_cols[i * m + k] * w.g[k] * w.w[k];
+      for (std::size_t i = 0; i < q; ++i) w.dx[i] = dd_inv[i] * w.rgw[i];
     }
 
-    for (std::size_t i = 0; i < q; ++i) x[i] += dx[i];
+    for (std::size_t i = 0; i < q; ++i) x[i] += w.dx[i];
 
     // Converged when the port-voltage change is negligible. A NaN dv must
     // not count as converged (fabs(NaN) > tol is false), so finiteness is
     // part of the convergence predicate.
     double max_dv = 0.0;
     bool finite = true;
-    Vector& dv = scratch_.dv;
-    matvec_transposed_into(eta_, dx, dv);
+    matvec_transposed_into(eta_, w.dx, w.dv);
     for (std::size_t pp = 0; pp < p; ++pp) {
-      finite = finite && std::isfinite(dv[pp]);
-      max_dv = std::max(max_dv, std::fabs(dv[pp]));
+      finite = finite && std::isfinite(w.dv[pp]);
+      max_dv = std::max(max_dv, std::fabs(w.dv[pp]));
     }
-    if (finite && max_dv < options.v_abstol) {
+    if (finite && max_dv < v_abstol) {
       fp.check();
       return true;
     }
@@ -181,13 +197,13 @@ bool ReducedSimulator::newton_solve(Vector& x, double t, double alpha,
 }
 
 Vector ReducedSimulator::dc_port_voltages() {
+  flatten();
   const std::size_t q = order();
   Vector x(q, 0.0);
-  Vector zero(q, 0.0);
-  ReducedSimOptions opts;
-  opts.max_newton = 200;
+  const Vector zero(q, 0.0);
   std::size_t iters = 0;
-  if (!newton_solve(x, 0.0, 0.0, zero, opts, iters))
+  if (!newton_solve(x, 0.0, 0.0, zero, 200, ReducedSimOptions{}.v_abstol,
+                    iters))
     throw NumericalError(StatusCode::kNewtonDivergence,
                          "ReducedSimulator: DC fixed point failed");
   return matvec_transposed(eta_, x);
@@ -203,22 +219,23 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
   const double dt = options.dt > 0.0 ? options.dt : options.tstop / 2000.0;
   const std::size_t q = order();
   const std::size_t p = port_count();
+  flatten();
+  Work& w = work_;
 
   // Charge the expected waveform storage (2 doubles per sample per port)
   // up front, so an over-budget transient fails before the time loop runs
   // rather than after minutes of stepping.
+  const std::size_t expected_samples =
+      static_cast<std::size_t>(options.tstop / dt) + 2;
   resource::ScopedCharge wave_bytes;
-  wave_bytes.add((static_cast<std::size_t>(options.tstop / dt) + 2) * p * 2 *
-                 sizeof(double));
+  wave_bytes.add(expected_samples * p * 2 * sizeof(double));
 
   // DC start.
   Vector x(q, 0.0);
+  Vector d_beta(q, 0.0);
   {
-    Vector zero(q, 0.0);
-    ReducedSimOptions dc_opts = options;
-    dc_opts.max_newton = 200;
     std::size_t iters = 0;
-    if (!newton_solve(x, 0.0, 0.0, zero, dc_opts, iters))
+    if (!newton_solve(x, 0.0, 0.0, d_beta, 200, options.v_abstol, iters))
       throw NumericalError(StatusCode::kNewtonDivergence,
                            "ReducedSimulator: DC fixed point failed");
   }
@@ -226,18 +243,16 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
 
   ReducedSimResult result;
   result.port_voltages.resize(p);
-  const std::size_t expected_samples =
-      static_cast<std::size_t>(options.tstop / dt) + 2;
   for (auto& wave : result.port_voltages) wave.reserve(expected_samples);
   auto record = [&](double t) {
-    Vector& v = scratch_.rec;
-    matvec_transposed_into(eta_, x, v);
-    for (std::size_t pp = 0; pp < p; ++pp) result.port_voltages[pp].append(t, v[pp]);
+    matvec_transposed_into(eta_, x, w.rec);
+    for (std::size_t pp = 0; pp < p; ++pp)
+      result.port_voltages[pp].append(t, w.rec[pp]);
   };
   record(0.0);
 
   double t = 0.0;
-  Vector d_beta(q);
+  Vector trial(q);
   Vector x_acc_prev(q, 0.0);  // previous accepted state (LTE proxy)
   double h_prev = 0.0;
   bool have_prev = false;
@@ -253,9 +268,10 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
             options.trapezoidal ? (-a * x[i] - xdot[i]) : (-a * x[i]);
         d_beta[i] = d_[i] * beta;
       }
-      Vector trial = x;
+      trial = x;
       std::size_t iters = 0;
-      const bool ok = newton_solve(trial, t + h, a, d_beta, options, iters);
+      const bool ok = newton_solve(trial, t + h, a, d_beta, options.max_newton,
+                                   options.v_abstol, iters);
       result.newton_iterations += iters;
 
       // Step-size rejection on local-truncation blowup: second-difference
@@ -264,15 +280,12 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
           halvings < options.max_step_halvings) {
         const double r = h / h_prev;
         double lte = 0.0;
-        Vector& vt = scratch_.lte_vt;
-        Vector& vc = scratch_.lte_vc;
-        Vector& vp = scratch_.lte_vp;
-        matvec_transposed_into(eta_, trial, vt);
-        matvec_transposed_into(eta_, x, vc);
-        matvec_transposed_into(eta_, x_acc_prev, vp);
+        matvec_transposed_into(eta_, trial, w.lte_vt);
+        matvec_transposed_into(eta_, x, w.lte_vc);
+        matvec_transposed_into(eta_, x_acc_prev, w.lte_vp);
         for (std::size_t pp = 0; pp < p; ++pp)
-          lte = std::max(lte,
-                         std::fabs(vt[pp] - vc[pp] - r * (vc[pp] - vp[pp])));
+          lte = std::max(lte, std::fabs(w.lte_vt[pp] - w.lte_vc[pp] -
+                                        r * (w.lte_vc[pp] - w.lte_vp[pp])));
         if (lte > options.lte_vtol) {
           ++halvings;
           ++result.step_rejections;

@@ -18,6 +18,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "mor/sympvl.h"
 #include "netlist/circuit.h"
@@ -102,40 +104,47 @@ class ReducedSimulator {
   std::size_t port_count() const { return eta_.cols(); }
   std::size_t order() const { return d_.size(); }
 
-  /// Read access for the lockstep batch engine (mor/batch_sim.{h,cpp}),
-  /// which flattens the configuration into structure-of-arrays lanes and
-  /// must replicate run()'s arithmetic on exactly this data.
-  const Vector& eigenvalues() const { return d_; }
-  const DenseMatrix& port_modes() const { return eta_; }
-  const std::map<std::size_t, SourceWave>& inputs() const { return inputs_; }
-  const std::map<std::size_t, std::shared_ptr<const OnePortDevice>>&
-  terminations() const {
-    return terminations_;
-  }
-
  private:
-  /// Total known (linear) current injections at time t, per port.
-  Vector input_currents(double t) const;
+  /// Walks the input/termination maps once into the arrays the inner
+  /// loops index, packs U, and drops the per-alpha cache.
+  void flatten();
+
+  /// Recomputes Dd^{-1} = (I + alpha D)^{-1} and S = U^T Dd^{-1} U when
+  /// alpha differs from the cached one.
+  void refresh_alpha(double alpha);
 
   /// One Newton solve of (I + alpha D) x + D beta = eta * i_total(V_x, t).
-  /// Returns true on convergence; x updated in place.
+  /// Returns true on convergence; x updated in place. Requires flatten().
   bool newton_solve(Vector& x, double t, double alpha, const Vector& d_beta,
-                    const ReducedSimOptions& options, std::size_t& iterations) const;
+                    int max_newton, double v_abstol, std::size_t& iterations);
 
   Vector d_;           ///< eigenvalues of T (ascending, >= 0 up to round-off)
   DenseMatrix eta_;    ///< Q * rho  (q x p)
   std::map<std::size_t, SourceWave> inputs_;
   std::map<std::size_t, std::shared_ptr<const OnePortDevice>> terminations_;
 
-  /// Newton/recording scratch reused across iterations, steps, and runs
-  /// (mutable: newton_solve is logically const). Buffers are assign()ed to
-  /// their full extent before use, so reuse cannot change any value.
-  struct Scratch {
-    Vector dd_inv, vports, itotal, g, eta_i, r, dx, srhs, rgw, dv;
-    Vector rec, lte_vt, lte_vc, lte_vp;
+  /// The configuration as flattened by flatten(), plus every buffer the
+  /// Newton loop and the recorder touch. Buffers are reused across
+  /// iterations, steps and runs, and each one is assign()ed to its full
+  /// extent before use, so reuse cannot change any value.
+  struct Work {
+    std::vector<std::pair<std::size_t, const SourceWave*>> inputs;
     std::vector<std::size_t> nl_ports;
-  };
-  mutable Scratch scratch_;
+    std::vector<const OnePortDevice*> nl_devs;
+    /// eta's nonlinear-port columns packed q x m row-major, so the
+    /// Woodbury loops read U contiguously instead of striding eta by p.
+    Vector u_cols;
+    /// Dd^{-1} and S (m x m row-major) for `alpha`. Both depend only on
+    /// alpha and the fixed (d, eta, ports), not on the Newton iterate, so
+    /// a uniform-step run builds them once; a step halving (or the DC
+    /// solve's alpha = 0) rebuilds them with the same expressions.
+    Vector dd_inv, s_alpha;
+    double alpha = 0.0;
+    bool alpha_valid = false;
+    Vector u, vports, itotal, g, eta_i, r, dx, srhs, msys, w, rgw, dv;
+    std::vector<std::size_t> perm;
+    Vector rec, lte_vt, lte_vc, lte_vp;
+  } work_;
 };
 
 }  // namespace xtv

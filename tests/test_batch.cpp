@@ -1,14 +1,12 @@
-// Batched reduced-model simulation (DESIGN.md §16): the lockstep batch
-// engine must be bit-compatible with the scalar ReducedSimulator lane by
-// lane, a diverging lane must never disturb its neighbors, and the
-// verifier's batch scheduler must produce findings bit-identical to the
-// scalar sweep at every width. Canonical (permutation/tolerance-invariant)
-// cache keys ride along: a tolerant hit is reused only after its
-// certificate re-passes against the requesting cluster's exact pencil.
+// Canonical (permutation/tolerance-invariant) model-cache keys
+// (DESIGN.md §16): a tolerant hit is reused only after its certificate
+// re-passes against the requesting cluster's exact pencil. Also the
+// ModelCache stats concurrency soak (run under TSan in CI) and chipgen's
+// cluster-repeat skew, which produces the near-replicated clusters the
+// canonical index targets.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,217 +14,14 @@
 
 #include "chipgen/dsp_chip.h"
 #include "core/verifier.h"
-#include "mor/batch_sim.h"
 #include "mor/model_cache.h"
-#include "mor/reduced_sim.h"
 #include "mor/sympvl.h"
 #include "netlist/rc_network.h"
-#include "util/deadline.h"
-#include "util/fault_injection.h"
 
 namespace xtv {
 namespace {
 
 const Technology kTech = Technology::default_250nm();
-
-// ---------------------------------------------------------------------------
-// Lockstep engine vs the scalar simulator.
-
-/// Nonlinear clamp pulling toward v0 (stiffening cubic): exercises the
-/// batched Newton/Woodbury path, not just the linear diagonal solve.
-class CubicClamp final : public OnePortDevice {
- public:
-  CubicClamp(double v0, double g1, double g3) : v0_(v0), g1_(g1), g3_(g3) {}
-  double current(double v, double) const override {
-    const double e = v0_ - v;
-    return g1_ * e + g3_ * e * e * e;
-  }
-  double conductance(double v, double) const override {
-    const double e = v0_ - v;
-    return -(g1_ + 3.0 * g3_ * e * e);
-  }
-
- private:
-  double v0_, g1_, g3_;
-};
-
-/// Two coupled RC lines with driver/receiver ports (test_mor.cpp's
-/// cluster shape); `r` varies electricals per lane.
-RcNetwork make_coupled_pair(int stages, double r) {
-  RcNetwork net;
-  std::vector<int> a(static_cast<std::size_t>(stages) + 1);
-  std::vector<int> v(static_cast<std::size_t>(stages) + 1);
-  for (int i = 0; i <= stages; ++i) {
-    a[static_cast<std::size_t>(i)] = net.add_node();
-    v[static_cast<std::size_t>(i)] = net.add_node();
-  }
-  for (int i = 0; i < stages; ++i) {
-    net.add_resistor(a[static_cast<std::size_t>(i)],
-                     a[static_cast<std::size_t>(i) + 1], r);
-    net.add_resistor(v[static_cast<std::size_t>(i)],
-                     v[static_cast<std::size_t>(i) + 1], r);
-  }
-  for (int i = 1; i <= stages; ++i) {
-    net.add_capacitor(a[static_cast<std::size_t>(i)], RcNetwork::kGround, 4e-15);
-    net.add_capacitor(v[static_cast<std::size_t>(i)], RcNetwork::kGround, 4e-15);
-    net.add_capacitor(a[static_cast<std::size_t>(i)],
-                      v[static_cast<std::size_t>(i)], 6e-15, true);
-  }
-  net.add_port(a[0]);
-  net.add_port(v[0]);
-  net.add_port(a[static_cast<std::size_t>(stages)]);
-  net.add_port(v[static_cast<std::size_t>(stages)]);
-  net.stamp_port_conductance(0, 1e-2);
-  net.stamp_port_conductance(1, 1e-3);
-  net.stamp_port_conductance(2, 1e-9);
-  net.stamp_port_conductance(3, 1e-9);
-  return net;
-}
-
-/// A configured simulator plus its scalar reference options.
-struct LaneSetup {
-  std::unique_ptr<ReducedSimulator> sim;
-  ReducedSimOptions options;
-};
-
-LaneSetup make_lane(int stages, double r, bool nonlinear) {
-  RcNetwork net = make_coupled_pair(stages, r);
-  const double g_agg = net.port_conductance(0);
-  LaneSetup lane;
-  lane.sim = std::make_unique<ReducedSimulator>(sympvl_reduce(net));
-  lane.sim->set_input(0, SourceWave::pwl({{0.0, 0.0},
-                                          {0.2e-9, 0.0},
-                                          {0.35e-9, 3.0 * g_agg}}));
-  if (nonlinear)
-    lane.sim->set_termination(1, std::make_shared<CubicClamp>(0.0, 5e-4, 2e-3));
-  lane.options.tstop = 2e-9;
-  lane.options.dt = 1e-12;
-  return lane;
-}
-
-void expect_waves_bitwise_equal(const ReducedSimResult& a,
-                                const ReducedSimResult& b) {
-  ASSERT_EQ(a.port_voltages.size(), b.port_voltages.size());
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.newton_iterations, b.newton_iterations);
-  EXPECT_EQ(a.step_rejections, b.step_rejections);
-  for (std::size_t p = 0; p < a.port_voltages.size(); ++p) {
-    SCOPED_TRACE("port " + std::to_string(p));
-    ASSERT_EQ(a.port_voltages[p].size(), b.port_voltages[p].size());
-    EXPECT_EQ(a.port_voltages[p].times(), b.port_voltages[p].times());
-    EXPECT_EQ(a.port_voltages[p].values(), b.port_voltages[p].values());
-  }
-}
-
-TEST(BatchSim, LanesMatchScalarBitwise) {
-  // Heterogeneous lanes (different pencils, linear and nonlinear
-  // terminations) integrated in lockstep: every lane's waveforms, step
-  // count, and Newton iteration count must equal its own scalar run
-  // bit for bit — the engine replicates the arithmetic, not just the
-  // answer.
-  std::vector<LaneSetup> setups;
-  setups.push_back(make_lane(6, 40.0, false));
-  setups.push_back(make_lane(6, 80.0, true));
-  setups.push_back(make_lane(5, 25.0, true));
-  setups.push_back(make_lane(7, 60.0, false));
-
-  std::vector<ReducedSimResult> scalar;
-  for (auto& s : setups) scalar.push_back(s.sim->run(s.options));
-
-  std::vector<BatchLane> lanes;
-  for (std::size_t i = 0; i < setups.size(); ++i) {
-    BatchLane lane;
-    lane.sim = setups[i].sim.get();
-    lane.options = setups[i].options;
-    lane.victim_net = i;
-    lanes.push_back(lane);
-  }
-  const std::vector<BatchLaneResult> batched = run_batch(lanes);
-  ASSERT_EQ(batched.size(), setups.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    ASSERT_EQ(batched[i].error, nullptr);
-    EXPECT_FALSE(batched[i].fell_back_scalar);
-    expect_waves_bitwise_equal(batched[i].result, scalar[i]);
-  }
-}
-
-TEST(BatchSim, ExpiredLaneFailsAloneNeighborsUnaffected) {
-  // Lane 1 enters the batch with an already-exhausted budget: it must
-  // carry the scalar path's deadline exception while lanes 0 and 2
-  // complete bit-identically to their solo runs — one lane's divergence
-  // is masked out, never propagated.
-  std::vector<LaneSetup> setups;
-  setups.push_back(make_lane(6, 40.0, true));
-  setups.push_back(make_lane(6, 55.0, false));
-  setups.push_back(make_lane(5, 30.0, true));
-  std::vector<ReducedSimResult> scalar;
-  scalar.push_back(setups[0].sim->run(setups[0].options));
-  scalar.push_back(setups[2].sim->run(setups[2].options));
-
-  const CancelToken expired{Deadline::after_seconds(0.0)};
-  std::vector<BatchLane> lanes;
-  for (std::size_t i = 0; i < setups.size(); ++i) {
-    BatchLane lane;
-    lane.sim = setups[i].sim.get();
-    lane.options = setups[i].options;
-    if (i == 1) lane.options.cancel = &expired;
-    lane.victim_net = i;
-    lanes.push_back(lane);
-  }
-  const std::vector<BatchLaneResult> batched = run_batch(lanes);
-  ASSERT_EQ(batched.size(), 3u);
-  ASSERT_NE(batched[1].error, nullptr);
-  try {
-    std::rethrow_exception(batched[1].error);
-    FAIL() << "expected a deadline exception";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("budget exhausted"),
-              std::string::npos)
-        << e.what();
-  }
-  ASSERT_EQ(batched[0].error, nullptr);
-  ASSERT_EQ(batched[2].error, nullptr);
-  expect_waves_bitwise_equal(batched[0].result, scalar[0]);
-  expect_waves_bitwise_equal(batched[2].result, scalar[1]);
-}
-
-TEST(BatchSim, PoisonedLanesFallBackToScalarEngine) {
-  // The kBatchLane fault site poisons lanes before any batch arithmetic
-  // runs (victim-keyed, so max_fires caps per victim): with period 1
-  // every lane takes the scalar ReducedSimulator::run fallback — same
-  // results bit for bit, fell_back_scalar set. Partial poisoning (some
-  // lanes batched, some fallen back, findings unchanged) is exercised at
-  // the verifier level in LaneFaultFallsBackWithoutChangingFindings.
-  std::vector<LaneSetup> setups;
-  setups.push_back(make_lane(6, 40.0, false));
-  setups.push_back(make_lane(6, 70.0, true));
-  setups.push_back(make_lane(5, 35.0, false));
-  std::vector<ReducedSimResult> scalar;
-  for (auto& s : setups) scalar.push_back(s.sim->run(s.options));
-
-  std::vector<BatchLane> lanes;
-  for (std::size_t i = 0; i < setups.size(); ++i) {
-    BatchLane lane;
-    lane.sim = setups[i].sim.get();
-    lane.options = setups[i].options;
-    lane.victim_net = 100 + i;
-    lanes.push_back(lane);
-  }
-  FaultInjector::instance().reset();
-  FaultInjector::instance().arm(FaultSite::kBatchLane, /*period=*/1,
-                                /*max_fires=*/1);
-  const std::vector<BatchLaneResult> batched = run_batch(lanes);
-  FaultInjector::instance().reset();
-
-  ASSERT_EQ(batched.size(), setups.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    ASSERT_EQ(batched[i].error, nullptr);
-    EXPECT_TRUE(batched[i].fell_back_scalar);
-    expect_waves_bitwise_equal(batched[i].result, scalar[i]);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Canonical fingerprints.
@@ -449,10 +244,6 @@ class BatchVerifyFixture : public ::testing::Test {
     return options;
   }
 
-  static std::string temp_path(const char* name) {
-    return ::testing::TempDir() + name;
-  }
-
   /// Bitwise equality of every result field (test_pipeline.cpp's
   /// doctrine); cache statistics are allowed to differ, findings not.
   static void expect_reports_equal(const VerificationReport& a,
@@ -501,69 +292,6 @@ CellLibrary* BatchVerifyFixture::lib_ = nullptr;
 CharacterizedLibrary* BatchVerifyFixture::chars_ = nullptr;
 Extractor* BatchVerifyFixture::extractor_ = nullptr;
 ChipDesign* BatchVerifyFixture::design_ = nullptr;
-
-TEST_F(BatchVerifyFixture, BatchedRunBitIdenticalToScalarAtEveryWidth) {
-  ChipVerifier verifier(*extractor_, *chars_);
-  const VerificationReport scalar = verifier.verify(*design_, fast_options());
-  for (std::size_t width : {4u, 16u}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    VerifierOptions batched_opts = fast_options();
-    batched_opts.batch_width = width;
-    const VerificationReport batched =
-        verifier.verify(*design_, batched_opts);
-    EXPECT_GT(batched.batched_victims, 0u);
-    expect_reports_equal(scalar, batched);
-  }
-}
-
-TEST_F(BatchVerifyFixture, BatchedThreadedAndCachedAgreeWithScalar) {
-  ChipVerifier verifier(*extractor_, *chars_);
-  const VerificationReport scalar = verifier.verify(*design_, fast_options());
-
-  VerifierOptions batched = fast_options();
-  batched.batch_width = 8;
-  batched.model_cache_mb = 8.0;
-  batched.threads = 4;
-  const VerificationReport threaded = verifier.verify(*design_, batched);
-  EXPECT_GT(threaded.batched_victims, 0u);
-  EXPECT_GT(threaded.model_cache_hits, 0u);
-  expect_reports_equal(scalar, threaded);
-}
-
-TEST_F(BatchVerifyFixture, BatchedJournalResumesBitIdentical) {
-  VerifierOptions options = fast_options();
-  options.batch_width = 8;
-  options.journal_path = temp_path("batch_journal.xtvj");
-  std::remove(options.journal_path.c_str());
-
-  ChipVerifier verifier(*extractor_, *chars_);
-  const VerificationReport full = verifier.verify(*design_, options);
-  EXPECT_GT(full.batched_victims, 0u);
-
-  // Resume against the complete batched journal; and a scalar resume of
-  // the same journal must also merge cleanly — batch_width is not part
-  // of the options hash, exactly like threads.
-  VerifierOptions resume_opts = options;
-  resume_opts.resume = true;
-  resume_opts.batch_width = 1;
-  const VerificationReport resumed = verifier.verify(*design_, resume_opts);
-  expect_reports_equal(full, resumed);
-  std::remove(options.journal_path.c_str());
-}
-
-TEST_F(BatchVerifyFixture, LaneFaultFallsBackWithoutChangingFindings) {
-  ChipVerifier verifier(*extractor_, *chars_);
-  const VerificationReport scalar = verifier.verify(*design_, fast_options());
-
-  VerifierOptions batched = fast_options();
-  batched.batch_width = 8;
-  FaultInjector::instance().reset();
-  FaultInjector::instance().arm(FaultSite::kBatchLane, /*period=*/3);
-  const VerificationReport faulted = verifier.verify(*design_, batched);
-  FaultInjector::instance().reset();
-  EXPECT_GT(faulted.batch_lane_fallbacks, 0u);
-  expect_reports_equal(scalar, faulted);
-}
 
 TEST_F(BatchVerifyFixture, CanonicalCacheReusesAcrossSkewedReplicas) {
   // Replicated rows with a sub-tolerance receiver-load skew: exact keys
@@ -629,8 +357,8 @@ TEST_F(BatchVerifyFixture, OptionsHashCoversCanonicalButNotBatchWidth) {
   VerifierOptions c = b;
   c.canonical_cache_tol = 1e-3;
   EXPECT_NE(options_result_hash(b), options_result_hash(c));
-  // batch_width only schedules (like threads): same hash, so journals
-  // written at any width resume under any other.
+  // batch_width is inert (nothing reads it): same hash, so journals
+  // written under any value resume under any other.
   VerifierOptions d = a;
   d.batch_width = 16;
   EXPECT_EQ(options_result_hash(a), options_result_hash(d));

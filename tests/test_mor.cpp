@@ -3,7 +3,10 @@
 // the properties the paper's Section 3 claims.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "linalg/dense_lu.h"
 #include "mor/reduced_sim.h"
@@ -345,6 +348,62 @@ TEST(ReducedSim, NonlinearTerminationMatchesSpice) {
   ASSERT_GT(std::fabs(peak_spice), 0.01);
   EXPECT_NEAR(peak_red / peak_spice, 1.0, 0.03);
   EXPECT_LT(rres.port_voltages[1].max_abs_error(sres.probes[0]), 0.02);
+}
+
+/// FNV-1a over the hexfloat text of every waveform sample plus the step,
+/// Newton and rejection counts: any change to the integrator's arithmetic
+/// or control flow moves it.
+std::uint64_t waveform_digest(const ReducedSimResult& res) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const char* text) {
+    for (const char* c = text; *c; ++c) {
+      h ^= static_cast<unsigned char>(*c);
+      h *= 1099511628211ull;
+    }
+  };
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%zu/%zu/%zu;", res.steps,
+                res.newton_iterations, res.step_rejections);
+  mix(buf);
+  for (const Waveform& w : res.port_voltages) {
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), "%a,%a;", w.time(i), w.value(i));
+      mix(buf);
+    }
+  }
+  return h;
+}
+
+TEST(ReducedSim, PinnedDigestWithNonlinearPortsAndStepHalvings) {
+  // Pins the integrator's exact arithmetic: two nonlinear terminations
+  // (a 2 x 2 Woodbury system per Newton iteration), a fast aggressor edge
+  // and an LTE tolerance that forces step halvings, so the per-alpha
+  // Dd^-1 / S cache is rebuilt many times within one run. The expected
+  // digest was recorded from the per-iteration (uncached) Newton solve
+  // this kernel replaced; a toolchain that contracts a*b+c into FMA will
+  // legitimately disagree.
+  RcNetwork net = make_coupled_pair(6);
+  ReducedSimulator sim(sympvl_reduce(net));
+  const double g_agg = net.port_conductance(0);
+  sim.set_input(0, SourceWave::pwl({{0.0, 0.0},
+                                    {0.2e-9, 0.0},
+                                    {0.25e-9, 3.0 * g_agg}}));
+  sim.set_termination(1, std::make_shared<CubicClamp>(0.0, 5e-4, 2e-3));
+  sim.set_termination(3, std::make_shared<CubicClamp>(0.0, 2e-5, 1e-3));
+  ReducedSimOptions opt;
+  opt.tstop = 2e-9;
+  opt.dt = 10e-12;
+  opt.lte_vtol = 5e-3;
+  const ReducedSimResult res = sim.run(opt);
+  EXPECT_GT(res.step_rejections, 0u);
+  EXPECT_EQ(res.steps, 252u);
+  EXPECT_EQ(res.newton_iterations, 1049u);
+  EXPECT_EQ(res.step_rejections, 174u);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, waveform_digest(res));
+  EXPECT_EQ(std::string(hex), "40b3f8634cadd5e4");
+  // A second run of the same simulator starts from a fresh cache.
+  EXPECT_EQ(waveform_digest(sim.run(opt)), waveform_digest(res));
 }
 
 TEST(ReducedSim, DcFixedPointWithClamp) {

@@ -99,6 +99,21 @@ TEST(JobSpec, SchedulingKnobsNeverChangeTheKey) {
   EXPECT_NE(a.key(), b.key());
 }
 
+TEST(JobSpec, RetiredBatchWidthKeyParsesAndLeavesTheKeyAlone) {
+  // Spec files persisted before batch_width was retired carry the key;
+  // parse must accept and ignore it, or a cold start would reject them.
+  JobSpec plain, legacy;
+  std::string err;
+  ASSERT_TRUE(JobSpec::parse("threshold=0.15 processes=3", &plain, &err))
+      << err;
+  ASSERT_TRUE(JobSpec::parse("threshold=0.15 processes=3 batch_width=8",
+                             &legacy, &err))
+      << err;
+  EXPECT_EQ(legacy.key(), plain.key());
+  EXPECT_EQ(legacy.to_text(), plain.to_text());
+  EXPECT_EQ(plain.to_text().find("batch_width"), std::string::npos);
+}
+
 TEST(JobSpec, RejectsMalformedAndOutOfRangeSpecs) {
   const char* bad[] = {
       "threshold=0",        "threshold=1.5",   "threshold=abc",
